@@ -4,13 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"parroute/internal/geom"
 )
 
-// jsonResult is the stable on-disk form of a Result. Wires are stored
-// flat; durations in nanoseconds.
+// jsonResult is the stable on-disk form of a Result, read by
+// ReadResultJSON and written field for field by AppendJSON. Wires are
+// stored flat; durations in nanoseconds.
 type jsonResult struct {
 	Circuit string `json:"circuit"`
 	Algo    string `json:"algo"`
@@ -59,34 +63,128 @@ type jsonCounter struct {
 	Value int64  `json:"value"`
 }
 
-// WriteJSON serializes the result.
+// WriteJSON serializes the result as one line of JSON.
 func (r *Result) WriteJSON(w io.Writer) error {
-	jr := jsonResult{
-		Circuit: r.Circuit, Algo: r.Algo, Procs: r.Procs,
-		ChannelDensity: r.ChannelDensity, TotalTracks: r.TotalTracks,
-		Area: r.Area, Wirelength: r.Wirelength,
-		Feedthroughs: r.Feedthroughs, ForcedEdges: r.ForcedEdges,
-		CoreWidth: r.CoreWidth, SwitchableWires: r.SwitchableWires,
-		SwitchFlips: r.SwitchFlips, CoarseFlips: r.CoarseFlips,
-		ElapsedNS: r.Elapsed.Nanoseconds(), Degraded: r.Degraded,
-	}
-	jr.Wires = make([]jsonWire, len(r.Wires))
+	_, err := w.Write(append(r.AppendJSON(nil), '\n'))
+	return err
+}
+
+// AppendJSON appends the result's JSON form to dst and returns the
+// extended slice. The bytes are exactly what encoding/json emits for
+// jsonResult (field order, omitempty rules, HTML-safe string escaping)
+// without the trailing newline, written in one pass with no reflection:
+// the daemon serializes every result it computes, and a primary2 result
+// is about 700 KB of integers.
+func (r *Result) AppendJSON(dst []byte) []byte {
+	// Routed wires average about 75 bytes (primary2); reserving 90 each
+	// sizes the buffer once at that scale, and append grows it past.
+	dst = slices.Grow(dst, 256+90*len(r.Wires)+8*len(r.ChannelDensity))
+	dst = append(dst, `{"circuit":`...)
+	dst = appendString(dst, r.Circuit)
+	dst = append(dst, `,"algo":`...)
+	dst = appendString(dst, r.Algo)
+	dst = appendField(dst, "procs", int64(r.Procs))
+	dst = append(dst, `,"wires":[`...)
 	for i := range r.Wires {
 		w := &r.Wires[i]
-		jr.Wires[i] = jsonWire{
-			Net: w.Net, Channel: w.Channel, Lo: w.Span.Lo, Hi: w.Span.Hi,
-			Switchable: w.Switchable, Row: w.Row,
-			AX: w.AX, ARow: w.ARow, BX: w.BX, BRow: w.BRow,
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"net":`...)
+		dst = strconv.AppendInt(dst, int64(w.Net), 10)
+		dst = appendField(dst, "ch", int64(w.Channel))
+		dst = appendField(dst, "lo", int64(w.Span.Lo))
+		dst = appendField(dst, "hi", int64(w.Span.Hi))
+		if w.Switchable {
+			dst = append(dst, `,"sw":true`...)
+		}
+		if w.Row != 0 {
+			dst = appendField(dst, "row", int64(w.Row))
+		}
+		dst = appendField(dst, "ax", int64(w.AX))
+		dst = appendField(dst, "ar", int64(w.ARow))
+		dst = appendField(dst, "bx", int64(w.BX))
+		dst = appendField(dst, "br", int64(w.BRow))
+		dst = append(dst, '}')
+	}
+	dst = append(dst, `],"channelDensity":`...)
+	if r.ChannelDensity == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, d := range r.ChannelDensity {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, int64(d), 10)
+		}
+		dst = append(dst, ']')
+	}
+	dst = appendField(dst, "totalTracks", int64(r.TotalTracks))
+	dst = appendField(dst, "area", r.Area)
+	dst = appendField(dst, "wirelength", r.Wirelength)
+	dst = appendField(dst, "feedthroughs", int64(r.Feedthroughs))
+	dst = appendField(dst, "forcedEdges", int64(r.ForcedEdges))
+	dst = appendField(dst, "coreWidth", int64(r.CoreWidth))
+	dst = appendField(dst, "switchableWires", int64(r.SwitchableWires))
+	dst = appendField(dst, "switchFlips", int64(r.SwitchFlips))
+	dst = appendField(dst, "coarseFlips", int64(r.CoarseFlips))
+	dst = appendField(dst, "elapsedNs", r.Elapsed.Nanoseconds())
+	if len(r.Phases) > 0 {
+		dst = append(dst, `,"phases":[`...)
+		for i, p := range r.Phases {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"name":`...)
+			dst = appendString(dst, p.Name)
+			dst = appendField(dst, "elapsedNs", p.Elapsed.Nanoseconds())
+			if len(p.Counters) > 0 {
+				dst = append(dst, `,"counters":[`...)
+				for k, c := range p.Counters {
+					if k > 0 {
+						dst = append(dst, ',')
+					}
+					dst = append(dst, `{"name":`...)
+					dst = appendString(dst, c.Name)
+					dst = appendField(dst, "value", c.Value)
+					dst = append(dst, '}')
+				}
+				dst = append(dst, ']')
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if r.Degraded {
+		dst = append(dst, `,"degraded":true`...)
+	}
+	return append(dst, '}')
+}
+
+// appendField appends `,"name":v`; name must need no escaping.
+func appendField(dst []byte, name string, v int64) []byte {
+	dst = append(dst, ',', '"')
+	dst = append(dst, name...)
+	dst = append(dst, '"', ':')
+	return strconv.AppendInt(dst, v, 10)
+}
+
+// appendString appends s as a JSON string exactly as encoding/json
+// quotes it. Names of circuits, phases and counters are plain ASCII in
+// practice and are copied between quotes; anything encoding/json would
+// escape (quotes, backslashes, control characters, <>&, non-ASCII) is
+// left to encoding/json itself, so the two can never disagree.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
 		}
 	}
-	for _, p := range r.Phases {
-		jp := jsonPhase{Name: p.Name, ElapsedNS: p.Elapsed.Nanoseconds()}
-		for _, c := range p.Counters {
-			jp.Counters = append(jp.Counters, jsonCounter{Name: c.Name, Value: c.Value})
-		}
-		jr.Phases = append(jr.Phases, jp)
-	}
-	return json.NewEncoder(w).Encode(&jr)
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // ReadResultJSON parses a result written by WriteJSON.

@@ -162,10 +162,10 @@ func freshOneShot(t *testing.T, preset string, genSeed uint64, algo string, proc
 }
 
 // TestCanonicalBytesSurviveEnvelope: canonical result bytes embedded in
-// a result envelope as a json.RawMessage come back byte-identical after
-// encode→decode. Embedding compacts whitespace, so the canonical form
-// must already be whitespace-free (a trailing newline here once broke
-// byte parity between the wire and one-shot runs).
+// a result envelope come back byte-identical after encode→decode. Encode
+// embeds them verbatim, so the canonical form must itself be compact
+// JSON (a trailing newline here once broke byte parity between the wire
+// and one-shot runs).
 func TestCanonicalBytesSurviveEnvelope(t *testing.T) {
 	canon := freshOneShot(t, "tiny", 7, "serial", 1, 1, "pinweight")
 	data, err := Encode(KindResult, JobResult{Key: "k", Metrics: canon})

@@ -60,11 +60,15 @@ step "go test -race ./..." go test -race -skip 'TestServiceSoak' ./...
 # invariant the manifest prices depend on), under the race detector.
 # FuzzFrame drives the socket framing the multi-process TCP engine puts
 # those codecs on: arbitrary byte streams must decode-or-reject, never
-# panic, and accepted frames must re-encode canonically.
+# panic, and accepted frames must re-encode canonically. FuzzDecode and
+# FuzzReadJSON drive the daemon's trust boundary: the twgrd/1 envelope
+# and body decoders, and the inline-circuit parser.
 fuzz_smoke() {
   go test -race -run '^$' -fuzz '^FuzzCodec$' -fuzztime 3s ./internal/parallel &&
     go test -race -run '^$' -fuzz '^FuzzAnyCodec$' -fuzztime 3s ./internal/mp &&
-    go test -race -run '^$' -fuzz '^FuzzFrame$' -fuzztime 3s ./internal/mp
+    go test -race -run '^$' -fuzz '^FuzzFrame$' -fuzztime 3s ./internal/mp &&
+    go test -race -run '^$' -fuzz '^FuzzDecode$' -fuzztime 3s ./internal/service &&
+    go test -race -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 3s ./internal/circuit
 }
 step "codec fuzz smoke" fuzz_smoke
 
