@@ -9,8 +9,7 @@
 //	benchtab -ablation partition  # or: sync
 //	benchtab -quick -all          # smaller circuit set for a fast pass
 //	benchtab -quick -json BENCH_PR4.json   # machine-readable perf snapshot
-//	benchtab -quick -tcpjson BENCH_PR9.json  # framed-vs-gob TCP wire comparison
-//	benchtab -checkjson BENCH_PR4.json     # validate a committed snapshot (either schema)
+//	benchtab -checkjson BENCH_PR4.json     # validate a committed snapshot
 //
 // -json measures the tree (serial wall-clock with per-phase split and
 // allocation counts, parallel speedup and scaled tracks on the simulated
@@ -22,8 +21,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -47,7 +44,6 @@ func main() {
 		procs     = flag.String("procs", "1,2,4,8", "comma-separated worker counts")
 		workers   = flag.String("workers", "1", "comma-separated intra-rank route worker counts for the serial scale points")
 		jsonOut   = flag.String("json", "", "write a machine-readable perf report to this path")
-		tcpJSON   = flag.String("tcpjson", "", "write a framed-vs-gob TCP wire comparison to this path")
 		label     = flag.String("label", "", "label stored in the -json report")
 		checkJSON = flag.String("checkjson", "", "parse and validate a perf report, then exit")
 	)
@@ -83,10 +79,6 @@ func main() {
 
 	if *jsonOut != "" {
 		writeReport(cfg, *jsonOut, *label)
-		return
-	}
-	if *tcpJSON != "" {
-		writeTCPReport(cfg, *tcpJSON, *label)
 		return
 	}
 
@@ -182,62 +174,25 @@ func writeReport(cfg bench.Config, path, label string) {
 	}
 }
 
-// writeTCPReport measures the framed-vs-gob wire comparison on the real
-// loopback-TCP engine and writes it to path.
-func writeTCPReport(cfg bench.Config, path, label string) {
-	rep, err := bench.CollectTCPReport(cfg, label)
-	if err != nil {
-		fatalf("collecting tcp report: %v", err)
-	}
-	f, err := os.Create(path)
+// validateReport parses a report file, failing the process on any error —
+// the CI smoke check that the committed BENCH_PR4.json / BENCH_PR10.json
+// stay readable.
+func validateReport(path string) {
+	f, err := os.Open(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	defer f.Close()
-	if err := bench.WriteTCPReport(f, rep); err != nil {
-		fatalf("writing tcp report: %v", err)
-	}
-	fmt.Printf("wrote %s: mean framed speedup %.2fx over gob (%d runs at %d procs)\n",
-		path, rep.MeanFramedSpeedup, len(rep.Runs), rep.Procs)
-}
-
-// validateReport parses a report file, failing the process on any error —
-// the CI smoke check that the committed BENCH_PR4.json / BENCH_PR9.json
-// stay readable. The schema field selects the reader.
-func validateReport(path string) {
-	raw, err := os.ReadFile(path)
+	r, err := bench.ReadReport(f)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	var head struct {
-		Schema string `json:"schema"`
+	fmt.Printf("%s: schema %s, %d serial + %d parallel runs", path, r.Schema,
+		len(r.Current.Serial), len(r.Current.Parallel))
+	if r.Baseline != nil {
+		fmt.Printf(", serial speedup vs baseline %.2fx", r.SerialSpeedupVsBaseline)
 	}
-	if err := json.Unmarshal(raw, &head); err != nil {
-		fatalf("%s: %v", path, err)
-	}
-	switch head.Schema {
-	case bench.TCPReportSchema:
-		r, err := bench.ReadTCPReport(bytes.NewReader(raw))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if len(r.Runs) == 0 {
-			fatalf("%s: tcp report has no runs", path)
-		}
-		fmt.Printf("%s: schema %s, %d framed-vs-gob runs at %d procs, mean framed speedup %.2fx\n",
-			path, r.Schema, len(r.Runs), r.Procs, r.MeanFramedSpeedup)
-	default:
-		r, err := bench.ReadReport(bytes.NewReader(raw))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("%s: schema %s, %d serial + %d parallel runs", path, r.Schema,
-			len(r.Current.Serial), len(r.Current.Parallel))
-		if r.Baseline != nil {
-			fmt.Printf(", serial speedup vs baseline %.2fx", r.SerialSpeedupVsBaseline)
-		}
-		fmt.Println()
-	}
+	fmt.Println()
 }
 
 func fatalf(format string, args ...any) {

@@ -1,6 +1,6 @@
 // distributed runs the hybrid algorithm over the TCP engine: every worker
-// communicates exclusively through gob-encoded messages on loopback
-// sockets — the deployment shape of the paper's Intel Paragon runs, with
+// communicates exclusively through flat-encoded binary frames on
+// loopback sockets — the deployment shape of the paper's Intel Paragon runs, with
 // real serialization and kernel round trips on every message. It then
 // repeats the run on the simulated DMP machine (the Paragon cost model)
 // and on the simulated SMP, so the three timing regimes can be compared

@@ -258,7 +258,7 @@ func checkStaleEntries(p *Pass, man *mpproto.Manifest, marked map[string]bool) {
 // checkSentPayloads verifies that every statically typed payload handed
 // to a sending mp operation is priced by the manifest — the enforcement
 // loop that catches a payload type sent without the //mp:payload marker
-// (and therefore without a codec, priced by gob fallback).
+// (and therefore without a codec: the TCP engine could not send it).
 func checkSentPayloads(p *Pass, man *mpproto.Manifest, f *ast.File) {
 	info := p.Pkg.Info
 	ast.Inspect(f, func(n ast.Node) bool {

@@ -59,7 +59,7 @@ func BenchmarkAllreduce(b *testing.B) {
 	}
 }
 
-// BenchmarkPayloadSize measures the virtual engine's per-message gob
+// BenchmarkPayloadSize measures the virtual engine's per-message
 // sizing overhead.
 func BenchmarkPayloadSize(b *testing.B) {
 	payload := make([]int32, 16384)

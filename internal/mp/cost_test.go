@@ -1,13 +1,9 @@
 package mp
 
-import (
-	"bytes"
-	"encoding/gob"
-	"testing"
-)
+import "testing"
 
 // sizedPayload implements Sizer with a fixed answer so the fast path is
-// distinguishable from any plausible gob encoding.
+// distinguishable from any other pricing.
 type sizedPayload struct{ N int }
 
 func (p sizedPayload) WireSize() int { return 12345 }
@@ -39,25 +35,38 @@ func TestPayloadSizeBuiltinShapes(t *testing.T) {
 	}
 }
 
-func TestPayloadSizeGobFallback(t *testing.T) {
-	// A registered type without WireSize falls back to a real gob encode:
-	// the price must match encoding the same wireEnv frame by hand.
-	type plain struct{ A, B int }
-	gob.Register(plain{})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&wireEnv{V: plain{A: 1, B: 2}}); err != nil {
-		t.Fatal(err)
+// TestPayloadSizeBuiltinsPinned pins the builtin shapes' prices to the
+// byte counts the Virtual engine has always charged: their flat codecs
+// must not move a single simulated transfer time.
+func TestPayloadSizeBuiltinsPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		v    any
+		want int
+	}{
+		{"int32-slice", []int32{1, 2, 3}, 28},
+		{"nil-int32-slice", []int32(nil), 16},
+		{"int", 42, 24},
+		{"bool", false, 17},
+		{"any-slice", []any{42, true, []int32{7}}, 53},
+		{"nested-any-slice", []any{[]any{1}}, 40},
 	}
-	if got := payloadSize(plain{A: 1, B: 2}); got != buf.Len() {
-		t.Fatalf("gob fallback priced at %d, want %d", got, buf.Len())
+	for _, tc := range cases {
+		if got := payloadSize(tc.v); got != tc.want {
+			t.Errorf("%s priced at %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 
 func TestPayloadSizeUnencodable(t *testing.T) {
-	// Unencodable payloads get a fixed price instead of failing: the
-	// Virtual engine must never alter program behaviour.
-	if got := payloadSize(func() {}); got != 64 {
-		t.Fatalf("unencodable payload priced at %d, want 64", got)
+	// A payload with neither WireSize nor a builtin shape has no codec
+	// (the TCP engine refuses it); the Virtual engine must never alter
+	// program behaviour, so it prices it at a fixed size instead.
+	type plain struct{ A, B int }
+	for _, v := range []any{func() {}, plain{A: 1, B: 2}, "a string"} {
+		if got := payloadSize(v); got != 64 {
+			t.Errorf("%T priced at %d, want 64", v, got)
+		}
 	}
 }
 

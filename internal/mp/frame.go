@@ -1,9 +1,7 @@
 package mp
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -18,11 +16,12 @@ import (
 //
 //	i64 src | i64 tag | AppendAny payload (u32 wire id | u32 len | bytes)
 //
-// so registered payload types cross the socket through their generated
-// parroute-mpwire/1 codecs and only unregistered types (wire id 0) fall
-// back to gob. The connection-setup hello and the rendezvous address
-// table reuse the same length-prefixed outer frame with their own magic
-// strings, so one bounded reader serves both setup and steady state.
+// so every payload crosses the socket through its registered
+// parroute-mpwire/1 codec; a payload type without one fails the send
+// before any byte is written. The connection-setup hello and the
+// rendezvous address table reuse the same length-prefixed outer frame
+// with their own magic strings, so one bounded reader serves both setup
+// and steady state.
 
 const (
 	// frameHeaderLen is the length prefix: a little-endian u32.
@@ -33,20 +32,13 @@ const (
 	maxFrameLen = 1 << 28
 )
 
-// appendFrame appends one framed envelope to buf. With forceGob the
-// payload takes the gob fallback even when a flat codec is registered —
-// the benchmark baseline that isolates what the generated codecs buy.
-func appendFrame(buf []byte, src, tag int, v any, forceGob bool) ([]byte, error) {
+// appendFrame appends one framed envelope to buf.
+func appendFrame(buf []byte, src, tag int, v any) ([]byte, error) {
 	lenAt := len(buf)
 	buf = AppendUint32(buf, 0) // length, patched below
 	buf = AppendInt(buf, src)
 	buf = AppendInt(buf, tag)
-	var err error
-	if forceGob {
-		buf, err = appendAnyGob(buf, v)
-	} else {
-		buf, err = AppendAny(buf, v)
-	}
+	buf, err := AppendAny(buf, v)
 	if err != nil {
 		return nil, err
 	}
@@ -103,18 +95,6 @@ func readFrame(r io.Reader, scratch []byte) ([]byte, error) {
 		return nil, wireErr("truncated frame: %v", err)
 	}
 	return body, nil
-}
-
-// appendAnyGob is AppendAny with the gob fallback forced: the payload is
-// framed under wire id 0 regardless of registered codecs.
-func appendAnyGob(buf []byte, v any) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(&wireEnv{V: v}); err != nil {
-		return nil, fmt.Errorf("mp: AppendAny: %w", err)
-	}
-	buf = AppendUint32(buf, gobWireID)
-	buf = AppendUint32(buf, uint32(body.Len()))
-	return append(buf, body.Bytes()...), nil
 }
 
 // ---- connection-setup frames ----
@@ -220,7 +200,7 @@ func decodeTable(body []byte) (addrTable, error) {
 	if t.Checksum, rest, err = WireUint64(rest); err != nil {
 		return t, err
 	}
-	n, rest, err := WireCount(rest)
+	n, rest, err := WireCount(rest, 4)
 	if err != nil {
 		return t, err
 	}

@@ -25,6 +25,13 @@ import (
 // The simulated elapsed time of the run is the maximum virtual clock at
 // completion. Program results never depend on the clock — only reported
 // times do — so routing output is identical across engines.
+//
+// A failing rank does not stop the others on the spot: where each
+// survivor stands at that moment depends on the clock order, which is
+// measured compute time. Instead the survivors run on until none of them
+// can move (every one blocked or done), and only then does the failure
+// abort them. With receives matched per (source, tag) in FIFO order, that
+// stop point is the same on every run. Cancellation still aborts at once.
 
 type vState uint8
 
@@ -54,7 +61,8 @@ type vMachine struct {
 	workers   []*vWorker
 	inBarrier int
 	done      int
-	err       error
+	err       error // aborts every pending and later operation
+	failed    error // first rank failure, held back until the survivors stall
 }
 
 type vComm struct {
@@ -153,9 +161,19 @@ func (m *vMachine) scheduleLocked() {
 		return
 	}
 	if m.err == nil {
-		m.err = ErrDeadlock
+		m.err = m.stallErrLocked(ErrDeadlock)
 	}
 	m.wakeAllLocked()
+}
+
+// stallErrLocked is the error that ends a run in which no worker can
+// move: the held-back rank failure if there was one, since it is why the
+// survivors stalled, and otherwise stall.
+func (m *vMachine) stallErrLocked(stall error) error {
+	if m.failed != nil {
+		return m.failed
+	}
+	return stall
 }
 
 // wakeAllLocked releases every blocked worker after an abort so they can
@@ -175,9 +193,8 @@ func (m *vMachine) finish(w *vWorker, err error) {
 	m.accrueLocked(w)
 	w.state = vDone
 	m.done++
-	if err != nil && m.err == nil {
-		m.err = fmt.Errorf("mp: rank %d failed: %w", w.rank, err)
-		m.wakeAllLocked() //lint:allow lock-across-blocking grant has capacity 1 and the scheduler keeps at most one token outstanding per worker, so this send cannot block
+	if err != nil && m.failed == nil {
+		m.failed = fmt.Errorf("mp: rank %d failed: %w", w.rank, err)
 	}
 	m.scheduleLocked() //lint:allow lock-across-blocking grant has capacity 1 and the scheduler keeps at most one token outstanding per worker, so this send cannot block
 }
@@ -196,7 +213,7 @@ func (c *vComm) Send(to, tag int, v any) error {
 	if m.err != nil {
 		return m.err
 	}
-	size := payloadSize(v) //lint:allow lock-across-blocking payloadSize prices the message by gob-encoding into an in-memory buffer, never a socket
+	size := payloadSize(v)
 	w.vtime += m.model.SendOverhead
 	env := envelope{src: w.rank, tag: tag, v: v, avail: w.vtime + m.model.transfer(size)}
 	dst := m.workers[to]
@@ -268,9 +285,9 @@ func (c *vComm) Barrier() error {
 	}
 	if m.inBarrier+m.done == m.n {
 		// The remaining workers already finished and can never enter the
-		// barrier: protocol error.
-		m.err = fmt.Errorf("mp: rank %d waits at a barrier %d ranks already exited: %w",
-			w.rank, m.done, ErrDeadlock)
+		// barrier: protocol error, or the stall a rank failure leads to.
+		m.err = m.stallErrLocked(fmt.Errorf("mp: rank %d waits at a barrier %d ranks already exited: %w",
+			w.rank, m.done, ErrDeadlock))
 		m.inBarrier--
 		m.wakeAllLocked() //lint:allow lock-across-blocking grant has capacity 1 and the scheduler keeps at most one token outstanding per worker, so this send cannot block
 		return m.err

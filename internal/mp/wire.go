@@ -3,9 +3,7 @@ package mp
 //go:generate go run parroute/cmd/mpgen
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
@@ -17,16 +15,18 @@ import (
 // methods implement. Integers travel as fixed-width little-endian
 // (8 bytes for int/int64/uint64, 1 byte for bool and byte-sized types),
 // strings and slices carry a u32 length/count prefix, and interface
-// values carry a u32 wire type id plus a u32 body length (id 0 falls
-// back to gob for unregistered payloads). The encoding is canonical —
-// one byte sequence per value — which is what lets FuzzCodec assert
+// values carry a u32 wire type id plus a u32 body length. Every payload
+// type has a registered codec — the generated ones and the four builtin
+// shapes the collectives send ([]any, []int32, int, bool) — and a value
+// of any other type cannot be encoded. The encoding is canonical — one
+// byte sequence per value — which is what lets FuzzCodec assert
 // encode→decode→re-encode byte-identity.
 //
-// This file is the hand-written substrate: append/consume primitives and
-// the wire-id registry generated init functions populate. The per-type
-// codecs themselves live in the mpwire_gen.go files (`go generate ./...`
-// or `go run parroute/cmd/mpgen` regenerates them; `mpgen -check` is the
-// CI drift gate).
+// This file is the hand-written substrate: append/consume primitives,
+// the builtin payload codecs, and the wire-id registry generated init
+// functions populate. The per-type codecs themselves live in the
+// mpwire_gen.go files (`go generate ./...` or `go run parroute/cmd/mpgen`
+// regenerates them; `mpgen -check` is the CI drift gate).
 
 // WireSchemaVersion names the codec format carried in the protocol
 // manifest (mp_protocol.json).
@@ -136,31 +136,39 @@ func WireString(data []byte) (string, []byte, error) {
 }
 
 // WireCount consumes a u32 element count, bounding it by the remaining
-// input (every generated element encoding consumes at least one byte, so
-// a count beyond len(rest) cannot be satisfied and would only serve to
-// force a huge allocation).
-func WireCount(data []byte) (int, []byte, error) {
+// input at width bytes per element — the fewest bytes one element's
+// encoding can take. A count the input cannot hold is rejected before
+// the caller sizes an allocation from it, so a decoder never allocates
+// more than a small multiple of the bytes it was handed.
+func WireCount(data []byte, width int) (int, []byte, error) {
 	n, rest, err := WireUint32(data)
 	if err != nil {
 		return 0, nil, err
 	}
-	if uint64(n) > uint64(len(rest)) {
-		return 0, nil, wireErr("count %d exceeds %d remaining byte(s)", n, len(rest))
+	if uint64(n)*uint64(width) > uint64(len(rest)) {
+		return 0, nil, wireErr("count %d of %d-byte elements exceeds %d remaining byte(s)", n, width, len(rest))
 	}
 	return int(n), rest, nil
 }
 
 // ---- interface (any) encoding ----
 
+// maxAnyDepth bounds how deeply interface values nest inside one
+// another (a chaosMsg wrapping a []any of ints is three deep). The
+// codecs recurse once per level, so without a bound a peer's frame of a
+// few megabytes nesting chaosMsg in chaosMsg would overflow the reader's
+// stack. Encode and decode enforce the same bound.
+const maxAnyDepth = 8
+
 // anyCodec adapts one registered payload type to the interface encoding.
+// depth is the number of interface values enclosing the one being
+// encoded or decoded; codecs of types that hold interface values pass it
+// on to appendAny/wireAny.
 type anyCodec struct {
 	id  uint32
-	app func(v any, buf []byte) ([]byte, error)
-	dec func(data []byte) (any, []byte, error)
+	app func(v any, buf []byte, depth int) ([]byte, error)
+	dec func(data []byte, depth int) (any, []byte, error)
 }
-
-// gobWireID is the reserved id of the gob fallback encoding.
-const gobWireID = 0
 
 var wireRegistry = struct {
 	sync.RWMutex
@@ -171,21 +179,21 @@ var wireRegistry = struct {
 	byType: map[reflect.Type]*anyCodec{},
 }
 
-// RegisterWireCodec registers a generated flat codec for the concrete
-// type of prototype under the manifest's wire id, making values of that
-// type cross AppendAny/WireAny without gob. Called from generated init
-// functions; a conflicting re-registration panics, matching gob.Register.
+// RegisterWireCodec registers the flat codec for the concrete type of
+// prototype under the manifest's wire id, making values of that type
+// cross AppendAny/WireAny. Called from generated init functions; id 0 or
+// a conflicting re-registration panics.
 func RegisterWireCodec(id uint32, prototype any,
-	app func(v any, buf []byte) ([]byte, error),
-	dec func(data []byte) (any, []byte, error)) {
-	if id == gobWireID {
-		panic("mp: RegisterWireCodec: id 0 is reserved for the gob fallback") //lint:allow panic-in-library registration-time programming error, like gob.Register
+	app func(v any, buf []byte, depth int) ([]byte, error),
+	dec func(data []byte, depth int) (any, []byte, error)) {
+	if id == 0 {
+		panic("mp: RegisterWireCodec: wire id 0 is not a valid id") //lint:allow panic-in-library registration-time programming error in generated init code
 	}
 	t := reflect.TypeOf(prototype)
 	wireRegistry.Lock()
 	defer wireRegistry.Unlock()
 	if prev, ok := wireRegistry.byID[id]; ok && prev != wireRegistry.byType[t] {
-		panic(fmt.Sprintf("mp: RegisterWireCodec: id %d already registered", id)) //lint:allow panic-in-library registration-time programming error, like gob.Register
+		panic(fmt.Sprintf("mp: RegisterWireCodec: id %d already registered", id)) //lint:allow panic-in-library registration-time programming error in generated init code
 	}
 	c := &anyCodec{id: id, app: app, dec: dec}
 	wireRegistry.byID[id] = c
@@ -205,26 +213,40 @@ func codecByID(id uint32) *anyCodec {
 }
 
 // AppendAny appends an interface value: u32 wire id, u32 body length,
-// body. Registered types use their generated flat codec; everything else
-// travels as gob under id 0 (payload types must then be registered with
-// RegisterPayload, exactly as on the TCP engine).
+// body. A value whose type has no registered codec is an error naming
+// the type.
 func AppendAny(buf []byte, v any) ([]byte, error) {
-	if c := codecByType(v); c != nil {
-		buf = AppendUint32(buf, c.id)
-		lenAt := len(buf)
-		buf = AppendUint32(buf, 0) // patched below
-		buf, err := c.app(v, buf)
-		if err != nil {
-			return nil, err
-		}
-		binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(buf)-lenAt-4))
-		return buf, nil
+	return appendAny(buf, v, 0)
+}
+
+func appendAny(buf []byte, v any, depth int) ([]byte, error) {
+	if depth >= maxAnyDepth {
+		return nil, wireErr("interface values nested deeper than %d", maxAnyDepth)
 	}
-	return appendAnyGob(buf, v)
+	c := codecByType(v)
+	if c == nil {
+		return nil, fmt.Errorf("mp: AppendAny: no wire codec registered for %T", v)
+	}
+	buf = AppendUint32(buf, c.id)
+	lenAt := len(buf)
+	buf = AppendUint32(buf, 0) // patched below
+	buf, err := c.app(v, buf, depth+1)
+	if err != nil {
+		return nil, err
+	}
+	binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(buf)-lenAt-4))
+	return buf, nil
 }
 
 // WireAny consumes an interface value written by AppendAny.
 func WireAny(data []byte) (any, []byte, error) {
+	return wireAny(data, 0)
+}
+
+func wireAny(data []byte, depth int) (any, []byte, error) {
+	if depth >= maxAnyDepth {
+		return nil, nil, wireErr("interface values nested deeper than %d", maxAnyDepth)
+	}
 	id, rest, err := WireUint32(data)
 	if err != nil {
 		return nil, nil, err
@@ -237,18 +259,11 @@ func WireAny(data []byte) (any, []byte, error) {
 		return nil, nil, wireErr("any body length %d exceeds %d remaining byte(s)", n, len(rest))
 	}
 	body, tail := rest[:n], rest[n:]
-	if id == gobWireID {
-		var env wireEnv
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-			return nil, nil, wireErr("gob payload: %v", err)
-		}
-		return env.V, tail, nil
-	}
 	c := codecByID(id)
 	if c == nil {
 		return nil, nil, wireErr("unknown wire type id %d", id)
 	}
-	v, after, err := c.dec(body)
+	v, after, err := c.dec(body, depth+1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -263,4 +278,76 @@ func WireAny(data []byte) (any, []byte, error) {
 // flat price. Used by generated WireSize methods (chaosMsg).
 func anyWireSize(v any) int {
 	return elemHeader + elemSize(v)
+}
+
+// ---- builtin payload codecs ----
+
+// The four builtin shapes the collectives send: []any (Gather/Allgather
+// results relayed by Bcast), []int32 (AllreduceInt32s, the net-wise
+// grid density), int and bool (AllreduceInt, barrier tokens). The
+// generated init registers them under the manifest's builtin wire ids.
+
+// appendAnySlice encodes a []any: u32 count, then each element as AppendAny.
+func appendAnySlice(v any, buf []byte, depth int) ([]byte, error) {
+	s := v.([]any)
+	buf = AppendUint32(buf, uint32(len(s)))
+	var err error
+	for _, e := range s {
+		if buf, err = appendAny(buf, e, depth); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+func decodeAnySlice(data []byte, depth int) (any, []byte, error) {
+	n, data, err := WireCount(data, elemHeader)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := make([]any, n)
+	for i := range s {
+		if s[i], data, err = wireAny(data, depth); err != nil {
+			return nil, nil, err
+		}
+	}
+	return s, data, nil
+}
+
+// appendInt32Slice encodes a []int32: u32 count, then 4 bytes LE each.
+func appendInt32Slice(v any, buf []byte, _ int) ([]byte, error) {
+	s := v.([]int32)
+	buf = AppendUint32(buf, uint32(len(s)))
+	for _, x := range s {
+		buf = AppendUint32(buf, uint32(x))
+	}
+	return buf, nil
+}
+
+func decodeInt32Slice(data []byte, _ int) (any, []byte, error) {
+	n, data, err := WireCount(data, 4)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
+	}
+	return s, data[4*n:], nil
+}
+
+func appendIntValue(v any, buf []byte, _ int) ([]byte, error) {
+	return AppendInt(buf, v.(int)), nil
+}
+
+func decodeIntValue(data []byte, _ int) (any, []byte, error) {
+	return WireInt(data)
+}
+
+func appendBoolValue(v any, buf []byte, _ int) ([]byte, error) {
+	return AppendBool(buf, v.(bool)), nil
+}
+
+func decodeBoolValue(data []byte, _ int) (any, []byte, error) {
+	return WireBool(data)
 }

@@ -113,8 +113,15 @@ func TestScanManifestShape(t *testing.T) {
 			t.Errorf("%s has no wire id", name)
 		}
 	}
-	if e := man.TypeByName("parroute/internal/mp", "chaosMsg"); e == nil || e.WireID == 0 {
-		t.Errorf("chaosMsg missing or unregistered: %+v", e)
+	if e := man.TypeByName("parroute/internal/mp", "chaosMsg"); e == nil || e.WireID != 1 {
+		t.Errorf("chaosMsg missing or not at wire id 1: %+v", e)
+	}
+	// The builtin shapes take the ids after the six generated types; the
+	// mp package's hand-written codecs are registered under exactly these.
+	for name, want := range map[string]uint32{"[]any": 7, "[]int32": 8, "bool": 9, "int": 10} {
+		if e := man.TypeByName("", name); e == nil || e.Kind != mpproto.TypeBuiltin || e.WireID != want {
+			t.Errorf("builtin %s: %+v, want wire id %d", name, e, want)
+		}
 	}
 	if tag := man.TagByName("parroute/internal/mp", "tagBarrier"); tag == nil || !tag.Reserved || tag.Value != -2 {
 		t.Errorf("tagBarrier: %+v", tag)
@@ -263,7 +270,13 @@ func AppendUint64(buf []byte, v uint64) []byte { return binary.LittleEndian.Appe
 func WireUint32(data []byte) (uint32, []byte, error) { return binary.LittleEndian.Uint32(data), data[4:], nil }
 func WireUint64(data []byte) (uint64, []byte, error) { return binary.LittleEndian.Uint64(data), data[8:], nil }
 
-func RegisterPayload(v any) {}
-func RegisterWireCodec(id uint32, prototype any, app func(v any, buf []byte) ([]byte, error), dec func(data []byte) (any, []byte, error)) {
-}
+type appendFn = func(v any, buf []byte, depth int) ([]byte, error)
+type decodeFn = func(data []byte, depth int) (any, []byte, error)
+
+func RegisterWireCodec(id uint32, prototype any, app appendFn, dec decodeFn) {}
+
+var (
+	appendAnySlice, appendInt32Slice, appendBoolValue, appendIntValue appendFn
+	decodeAnySlice, decodeInt32Slice, decodeBoolValue, decodeIntValue decodeFn
+)
 `

@@ -49,9 +49,10 @@ type Model struct {
 	Manifest *mpproto.Manifest
 }
 
-// builtinEntries are the payload shapes mp.payloadSize prices directly,
-// without a generated codec: they cross the interface encoding as gob
-// (wire id 0).
+// builtinEntries are the payload shapes the mp collectives send and
+// mp.payloadSize prices directly. Their codecs are hand-written in
+// internal/mp (see builtinCodecs); the generated mp init registers them
+// under wire ids numbered after the generated types.
 func builtinEntries() []mpproto.TypeEntry {
 	return []mpproto.TypeEntry{
 		{Name: "[]any", Kind: mpproto.TypeBuiltin, Elem: "any"},
@@ -173,8 +174,8 @@ func scanModule(mod *lint.Module) (*Model, error) {
 	}
 	sort.Slice(m.Pkgs, func(i, j int) bool { return m.Pkgs[i].Path < m.Pkgs[j].Path })
 
-	// Deterministic wire ids: 1..N over (package, name) order. Id 0 is
-	// the gob fallback.
+	// Deterministic wire ids: 1..N over (package, name) order, then the
+	// builtins in builtinEntries order. Id 0 is never assigned.
 	id := uint32(1)
 	for _, gp := range m.Pkgs {
 		sort.Slice(gp.Types, func(i, j int) bool { return gp.Types[i].Name < gp.Types[j].Name })
@@ -183,6 +184,11 @@ func scanModule(mod *lint.Module) (*Model, error) {
 			gp.Types[i].Entry.WireID = id
 			id++
 		}
+	}
+	builtins := builtinEntries()
+	for i := range builtins {
+		builtins[i].WireID = id
+		id++
 	}
 
 	// Pass 2: tag constants of every package that declares payloads or
@@ -307,7 +313,7 @@ func scanModule(mod *lint.Module) (*Model, error) {
 		man.Packages = append(man.Packages, p)
 	}
 	sort.Strings(man.Packages)
-	man.Types = builtinEntries()
+	man.Types = builtins
 	for _, gp := range m.Pkgs {
 		for i := range gp.Types {
 			man.Types = append(man.Types, gp.Types[i].Entry)

@@ -45,8 +45,8 @@ type TypeEntry struct {
 	// Kind is "slice" (a named batch type), "struct", or "builtin".
 	Kind string `json:"kind"`
 	// WireID is the type's identifier in the length-prefixed binary
-	// codec's interface encoding; 0 means no generated codec (builtins
-	// fall back to gob there).
+	// codec's interface encoding. mpgen assigns one to every type and
+	// never uses 0.
 	WireID uint32 `json:"wireId,omitempty"`
 	// Elem is the element type of a slice kind, fully qualified.
 	Elem string `json:"elem,omitempty"`

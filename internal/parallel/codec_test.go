@@ -3,10 +3,12 @@ package parallel
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -173,6 +175,40 @@ func TestCodecTruncation(t *testing.T) {
 		for n := 0; n < len(enc); n++ {
 			if _, _, err := tc.decode(enc[:n]); err == nil {
 				t.Fatalf("%s: decoding %d/%d bytes succeeded", tc.name, n, len(enc))
+			}
+		}
+	}
+}
+
+// TestCodecDecodeAllocBounded is the regression test for count prefixes
+// checked only against one byte per element: an 8 MiB WireBatch body
+// claiming 8M wires made the decoder allocate 640 MiB before failing.
+// Counts are now bounded by the element's minimum encoded width, so for
+// every count a body can carry — up to the largest — the decoder
+// allocates at most a small multiple of the body.
+func TestCodecDecodeAllocBounded(t *testing.T) {
+	const n = 1 << 16
+	// Offset of each payload's first count prefix and the minimum encoded
+	// width of the elements it counts.
+	layout := map[string]struct{ at, width int }{
+		"FakePinBatch": {0, 25}, "CrossingBatch": {0, 24}, "NodeBatch": {0, 25},
+		"WireBatch": {0, 73}, "Summary": {6 * 8, 16},
+	}
+	for _, tc := range samplePayloads() {
+		at := layout[tc.name].at
+		fits := uint32((n - 4 - at) / layout[tc.name].width) // the largest count the body holds
+		for _, count := range []uint32{fits, fits + 1, uint32(n - 4 - at), 1<<32 - 1} {
+			body := make([]byte, n)
+			copy(body[at:], mp.AppendUint32(nil, count))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := tc.decode(body)
+			runtime.ReadMemStats(&after)
+			if allocated := after.TotalAlloc - before.TotalAlloc; allocated > 4*n {
+				t.Errorf("%s: count %d in %d bytes allocated %d bytes (err %v)", tc.name, count, n, allocated, err)
+			}
+			if count > fits && !errors.Is(err, mp.ErrWire) {
+				t.Errorf("%s: count %d in %d bytes: err = %v, want mp.ErrWire", tc.name, count, n, err)
 			}
 		}
 	}

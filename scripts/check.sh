@@ -127,7 +127,6 @@ bench_smoke() {
 }
 step "bench smoke (serial route)" bench_smoke
 step "perf baseline readable" go run ./cmd/benchtab -checkjson BENCH_PR4.json
-step "framed-wire baseline readable" go run ./cmd/benchtab -checkjson BENCH_PR9.json
 step "scale baseline readable" go run ./cmd/benchtab -checkjson BENCH_PR10.json
 
 # Trace smoke: `twgr -trace` emits a timeline that `-checktrace` accepts,
